@@ -33,6 +33,7 @@ fmt-check:
 
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 # Repo-specific invariants (workspace/span balance, engine threading,
 # float equality, rand hygiene, hot-path purity, slot-reduction

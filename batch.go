@@ -111,9 +111,10 @@ func QRCPBatch(ctx context.Context, problems []*mat.Dense, opts *BatchOptions) (
 	return DefaultEngine().QRCPBatch(ctx, problems, opts)
 }
 
-// factorOne factors a single batch problem, converting panics (shape
-// validation on a caller-supplied matrix) into per-problem errors so one
-// bad input cannot take down the whole batch.
+// factorOne factors a single batch problem, converting panics (kernel
+// validation of a caller-supplied matrix) into per-problem errors so one
+// bad input cannot take down the whole batch. A wide matrix needs no
+// recovery: QRCP reports it as ErrShape.
 func factorOne(shard *Engine, a *mat.Dense, o *Options, idx int) (f *Factorization, err error) {
 	defer func() {
 		if r := recover(); r != nil {

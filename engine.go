@@ -2,6 +2,7 @@ package tsqrcp
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/blas"
 	"repro/internal/core"
@@ -84,6 +85,9 @@ func (e *Engine) callEngine(opts *Options) (*parallel.Engine, error) {
 // Options.Strategy for the randomized CQRRPT alternative.
 // Returns the engine's context error if cancelled mid-factorization.
 func (e *Engine) QRCP(a *mat.Dense, opts *Options) (*Factorization, error) {
+	if err := checkTall(a); err != nil {
+		return nil, err
+	}
 	pe, err := e.callEngine(opts)
 	if err != nil {
 		return nil, err
@@ -121,6 +125,9 @@ func (e *Engine) HouseholderQRCP(a *mat.Dense, opts *Options) *Factorization {
 // QRCPTruncated computes a rank-k truncated pivoted QR factorization on
 // this engine; see the package-level function.
 func (e *Engine) QRCPTruncated(a *mat.Dense, k int, opts *Options) (*Factorization, error) {
+	if err := checkTall(a); err != nil {
+		return nil, err
+	}
 	pe, err := e.callEngine(opts)
 	if err != nil {
 		return nil, err
@@ -133,6 +140,15 @@ func (e *Engine) QRCPTruncated(a *mat.Dense, k int, opts *Options) (*Factorizati
 	}
 	return &Factorization{Q: res.Q, R: res.R, Perm: res.Perm,
 		Rank: res.Rank, Iterations: res.Iterations}, nil
+}
+
+// checkTall returns an error wrapping ErrShape when a is wide, so the
+// pivoted entry points report it instead of panicking in the core.
+func checkTall(a *mat.Dense) error {
+	if a.Rows < a.Cols {
+		return fmt.Errorf("%w, got %d×%d", ErrShape, a.Rows, a.Cols)
+	}
+	return nil
 }
 
 // qrCall is the single entry point every unpivoted one-shot helper and

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -138,6 +139,44 @@ func TestQRCPBatch(t *testing.T) {
 				t.Errorf("problem %d: residual %g", i, r)
 			}
 		}
+	}
+}
+
+// TestWideInputErrShape: every error-returning pivoted entry point
+// reports a wide (3×5) input as an error wrapping ErrShape instead of
+// panicking, and QRCPBatch reports the same error for the wide problem.
+func TestWideInputErrShape(t *testing.T) {
+	wide := mat.NewDense(3, 5)
+	for i := range wide.Data {
+		wide.Data[i] = float64(i + 1)
+	}
+	e := NewEngine(2)
+	calls := map[string]func() (*Factorization, error){
+		"QRCP":                       func() (*Factorization, error) { return QRCP(wide, nil) },
+		"Engine.QRCP":                func() (*Factorization, error) { return e.QRCP(wide, nil) },
+		"Engine.QRCP StrategyCQRRPT": func() (*Factorization, error) { return e.QRCP(wide, &Options{Strategy: StrategyCQRRPT}) },
+		"QRCPTruncated":              func() (*Factorization, error) { return QRCPTruncated(wide, 2, nil) },
+		"Engine.QRCPTruncated":       func() (*Factorization, error) { return e.QRCPTruncated(wide, 2, nil) },
+		"QRCPFile": func() (*Factorization, error) {
+			path := filepath.Join(t.TempDir(), "wide.tsqrmat")
+			if err := wide.WriteBinaryFile(path); err != nil {
+				t.Fatal(err)
+			}
+			return QRCPFile(path, nil)
+		},
+	}
+	for name, call := range calls {
+		f, err := call()
+		if !errors.Is(err, ErrShape) || f != nil {
+			t.Errorf("%s: (%v, %v), want (nil, ErrShape)", name, f, err)
+		}
+	}
+	results, err := QRCPBatch(context.Background(), []*mat.Dense{wide}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(results[0].Err, ErrShape) {
+		t.Errorf("QRCPBatch: err = %v, want ErrShape", results[0].Err)
 	}
 }
 

@@ -8,15 +8,18 @@ import (
 	"repro/mat"
 )
 
-// The fused permute→TRSM→Gram streaming pass. For tall-skinny m×n with
-// m ≫ n every stage of the Ite-CholQR-CP inner loop is memory-bandwidth
-// bound: the unfused sequence streams the full m×n working matrix from
-// DRAM five times per pivoting iteration (permute read+write, TRSM
-// read+write, next Gram read). Fusing the three into a single row-block
-// pass performs the column gather in L1, solves the block against R while
-// it is cache resident, and immediately accumulates its Gram
-// contribution, collapsing the five traversals to two (one read, one
-// write). See DESIGN.md §10 for the traffic model.
+// The fused permute→TRSM→Gram streaming pass. The unfused sequence
+// streams the full m×n working matrix from DRAM five times per pivoting
+// iteration (permute read+write, TRSM read+write, next Gram read). Fusing
+// the three into a single row-block pass performs the column gather in
+// L1, solves the block against R while it is cache resident, and
+// immediately accumulates its Gram contribution, collapsing the five
+// traversals to two (one read, one write). See DESIGN.md §10 for the
+// traffic model. The traffic cut is not what bounds the pass, though: at
+// 2¹⁷×64 on a 2-core Xeon the scalar Go pass ran at 6.6 GF/s and moved
+// 0.82 GB/s against a 21.7 GB/s copy roof, so it is compute bound, and
+// its two inner loops run on the AVX routines of avx_amd64.s
+// (DESIGN.md §15).
 const (
 	// fusedBlockRows is the micro-block height: one block of B rows is
 	// gathered, solved, and Gram-accumulated while it stays cache
@@ -194,7 +197,7 @@ func fusedSlotRange(b, r *mat.Dense, perm mat.Perm, lo, hi int, acc *mat.Dense, 
 			}
 		}
 		fusedTrsmRange(b, r, q, qhi)
-		fusedSyrkRange(b, q, qhi, acc)
+		fusedSyrkCols(b, q, qhi, 0, n, acc)
 	}
 }
 
@@ -251,7 +254,15 @@ func fusedTrsmRange(b, r *mat.Dense, lo, hi int) {
 			v33 := (x3[k0+3] - v30*r0[k0+3] - v31*r1[k0+3] - v32*r2[k0+3]) * inv3
 			x3[k0], x3[k0+1], x3[k0+2], x3[k0+3] = v30, v31, v32, v33
 			// Rank-4 update of the trailing columns.
-			for j := k0 + 4; j < n; j++ {
+			j := k0 + 4
+			if nv := avxSpan(j, n); nv > 0 {
+				c := [8]float64{v00, v01, v02, v03, v10, v11, v12, v13}
+				trsmPairAVX(&x0[j], &x1[j], &r0[j], &r1[j], &r2[j], &r3[j], nv, &c)
+				c = [8]float64{v20, v21, v22, v23, v30, v31, v32, v33}
+				trsmPairAVX(&x2[j], &x3[j], &r0[j], &r1[j], &r2[j], &r3[j], nv, &c)
+				j += nv
+			}
+			for ; j < n; j++ {
 				w0, w1, w2, w3 := r0[j], r1[j], r2[j], r3[j]
 				x0[j] -= v00*w0 + v01*w1 + v02*w2 + v03*w3
 				x1[j] -= v10*w0 + v11*w1 + v12*w2 + v13*w3
@@ -301,64 +312,6 @@ func fusedTrsmRange(b, r *mat.Dense, lo, hi int) {
 			x[k] = v
 			for j := k + 1; j < n; j++ {
 				x[j] -= v * rk[j]
-			}
-		}
-	}
-}
-
-// fusedSyrkRange accumulates the Gram contribution of rows [lo, hi) of B
-// into the upper triangle of acc: acc += BᵀB over that row range. The
-// summation rows are consumed in ascending quads and, within a quad, each
-// acc element receives one fused 4-term dot — the order is a function of
-// (lo, hi) alone, so any engine width reproduces the same bits. Output
-// rows are paired so the quad's four source rows are loaded once per two
-// accumulator rows: 32 flops per 8 memory operations in the inner loop,
-// versus 8 per 6 for the streaming syrkTile (which optimizes for DRAM
-// traffic the fused pass has already eliminated).
-//
-//repolint:hotpath
-func fusedSyrkRange(b *mat.Dense, lo, hi int, acc *mat.Dense) {
-	n := b.Cols
-	k := lo
-	for ; k+4 <= hi; k += 4 {
-		r0 := b.Data[k*b.Stride : k*b.Stride+n]
-		r1 := b.Data[(k+1)*b.Stride : (k+1)*b.Stride+n]
-		r2 := b.Data[(k+2)*b.Stride : (k+2)*b.Stride+n]
-		r3 := b.Data[(k+3)*b.Stride : (k+3)*b.Stride+n]
-		i := 0
-		for ; i+2 <= n; i += 2 {
-			di := acc.Data[i*acc.Stride : i*acc.Stride+n]
-			di1 := acc.Data[(i+1)*acc.Stride : (i+1)*acc.Stride+n]
-			v00, v10, v20, v30 := r0[i], r1[i], r2[i], r3[i]
-			v01, v11, v21, v31 := r0[i+1], r1[i+1], r2[i+1], r3[i+1]
-			di[i] += v00*v00 + v10*v10 + v20*v20 + v30*v30
-			di[i+1] += v00*v01 + v10*v11 + v20*v21 + v30*v31
-			di1[i+1] += v01*v01 + v11*v11 + v21*v21 + v31*v31
-			for j := i + 2; j < n; j++ {
-				w0, w1, w2, w3 := r0[j], r1[j], r2[j], r3[j]
-				di[j] += v00*w0 + v10*w1 + v20*w2 + v30*w3
-				di1[j] += v01*w0 + v11*w1 + v21*w2 + v31*w3
-			}
-		}
-		if i < n {
-			di := acc.Data[i*acc.Stride : i*acc.Stride+n]
-			v0, v1, v2, v3 := r0[i], r1[i], r2[i], r3[i]
-			for j := i; j < n; j++ {
-				di[j] += v0*r0[j] + v1*r1[j] + v2*r2[j] + v3*r3[j]
-			}
-		}
-	}
-	// Remainder summation rows: rank-1 accumulation.
-	for ; k < hi; k++ {
-		rk := b.Data[k*b.Stride : k*b.Stride+n]
-		for i := 0; i < n; i++ {
-			v := rk[i]
-			if v == 0 {
-				continue
-			}
-			di := acc.Data[i*acc.Stride : i*acc.Stride+n]
-			for j := i; j < n; j++ {
-				di[j] += v * rk[j]
 			}
 		}
 	}

@@ -116,7 +116,13 @@ func syrkTile(alpha float64, a *mat.Dense, j0, j1, lo, hi int, dst *mat.Dense) {
 				continue
 			}
 			drow := dst.Data[i*dst.Stride : i*dst.Stride+j1]
-			for j := max(i, j0); j < j1; j++ {
+			j := max(i, j0)
+			if nv := avxSpan(j, j1); nv > 0 {
+				c := [4]float64{v0, v1, v2, v3}
+				syrkRowAVX(&drow[j], &r0[j], &r1[j], &r2[j], &r3[j], nv, &c)
+				j += nv
+			}
+			for ; j < j1; j++ {
 				drow[j] += v0*r0[j] + v1*r1[j] + v2*r2[j] + v3*r3[j]
 			}
 		}

@@ -73,7 +73,13 @@ func trsmRightRange(b, r *mat.Dense, lo, hi int) {
 			v2 := x2[k] * inv
 			v3 := x3[k] * inv
 			x0[k], x1[k], x2[k], x3[k] = v0, v1, v2, v3
-			for j := k + 1; j < n; j++ {
+			j := k + 1
+			if nv := avxSpan(j, n); nv > 0 {
+				v := [4]float64{v0, v1, v2, v3}
+				trsmRank1AVX(&x0[j], &x1[j], &x2[j], &x3[j], &rrow[j], nv, &v)
+				j += nv
+			}
+			for ; j < n; j++ {
 				rv := rrow[j]
 				x0[j] -= v0 * rv
 				x1[j] -= v1 * rv

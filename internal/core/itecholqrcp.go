@@ -24,6 +24,11 @@ const DefaultMaxIterations = 64
 // (not just numerically) linearly dependent or zero.
 var ErrStall = errors.New("core: Ite-CholQR-CP stalled: remaining columns are exactly rank deficient")
 
+// ErrShape reports an input with fewer rows than columns: the
+// tall-skinny factorizations need m ≥ n. The library's error-returning
+// entry points wrap it instead of letting the kernels panic.
+var ErrShape = errors.New("core: QRCP needs a tall matrix (rows ≥ columns)")
+
 // CPResult is a QR factorization with column pivoting A·P = Q·R.
 type CPResult struct {
 	// Q is m×n with orthonormal columns.

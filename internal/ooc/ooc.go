@@ -77,7 +77,7 @@ func QRCP(e *parallel.Engine, path string, cfg Config) (*Result, error) {
 	defer fm.Close()
 	m, n := fm.Rows(), fm.Cols()
 	if m < n {
-		return nil, fmt.Errorf("ooc: QRCP needs a tall matrix, %s is %d×%d", path, m, n)
+		return nil, fmt.Errorf("%w: %s is %d×%d", core.ErrShape, path, m, n)
 	}
 
 	panelRows := cfg.PanelRows

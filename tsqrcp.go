@@ -22,6 +22,11 @@ var ErrBreakdown = core.ErrBreakdown
 // numerically) dependent columns, e.g. a zero column.
 var ErrStall = core.ErrStall
 
+// ErrShape is reported by QRCP, QRCPTruncated, QRCPFile and QRCPBatch
+// when the input has fewer rows than columns; the factorizations need a
+// tall (m ≥ n) matrix.
+var ErrShape = core.ErrShape
+
 // Strategy selects the algorithm behind QRCP and QRCPBatch.
 type Strategy int
 
